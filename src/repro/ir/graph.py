@@ -44,6 +44,9 @@ class ComputationGraph:
     _layers: dict[str, Layer] = field(default_factory=dict, repr=False)
     _shapes: dict[str, FeatureMapShape] = field(default_factory=dict, repr=False)
     _schedule: list[str] | None = field(default=None, repr=False)
+    #: Producer -> consumer names in schedule order (each consumer once).
+    _consumers: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    _positions: dict[str, int] | None = field(default=None, repr=False)
     _current_block: str | None = field(default=None, repr=False)
 
     def add(self, layer: Layer) -> Layer:
@@ -66,7 +69,10 @@ class ComputationGraph:
         input_shapes = [self._shapes[src] for src in layer.inputs]
         self._shapes[layer.name] = layer.infer_output_shape(input_shapes)
         self._layers[layer.name] = layer
-        self._schedule = None
+        self._consumers[layer.name] = []
+        for src in dict.fromkeys(layer.inputs):
+            self._consumers[src].append(layer.name)
+        self._schedule = self._positions = None
         if self._current_block is not None:
             self.blocks.setdefault(self._current_block, []).append(layer.name)
         return layer
@@ -123,12 +129,11 @@ class ComputationGraph:
     def successors(self, name: str) -> list[str]:
         """Consumer layer names reading ``name``'s output, in schedule order."""
         self.layer(name)
-        return [lyr.name for lyr in self._layers.values() if name in lyr.inputs]
+        return list(self._consumers[name])
 
     def sinks(self) -> list[str]:
         """Layers whose output nobody consumes (the network outputs)."""
-        consumed = {src for lyr in self._layers.values() for src in lyr.inputs}
-        return [name for name in self._layers if name not in consumed]
+        return [name for name in self._layers if not self._consumers[name]]
 
     def schedule(self) -> list[str]:
         """Deterministic topological execution order of all layers.
@@ -180,16 +185,17 @@ class ComputationGraph:
 
     def _transitive_consumers(self, name: str) -> list[str]:
         """Consumers of a layer output, looking through concat nodes."""
-        order = {node: idx for idx, node in enumerate(self.schedule())}
-        result: list[str] = []
-        stack = self.successors(name)
+        if self._positions is None:
+            self._positions = {node: idx for idx, node in enumerate(self._layers)}
+        result: set[str] = set()
+        stack = list(self._consumers[name])
         while stack:
-            consumer = stack.pop(0)
-            if self.layer(consumer).op_type is OpType.CONCAT:
-                stack.extend(self.successors(consumer))
+            consumer = stack.pop()
+            if self._layers[consumer].op_type is OpType.CONCAT:
+                stack.extend(self._consumers[consumer])
             else:
-                result.append(consumer)
-        return sorted(set(result), key=order.__getitem__)
+                result.add(consumer)
+        return sorted(result, key=self._positions.__getitem__)
 
     def feature_sources(self, name: str) -> list[str]:
         """Producer names whose feature values ``name`` actually reads.
@@ -242,7 +248,8 @@ class ComputationGraph:
         """Full structural validation.
 
         :meth:`add` already guarantees acyclicity and resolved inputs; this
-        re-checks reachability so hand-mutated graphs fail loudly.
+        re-checks reachability from the input layers along the consumer
+        index.
 
         Raises:
             GraphValidationError: On an empty graph or unreachable layers.
@@ -256,7 +263,7 @@ class ComputationGraph:
         frontier = list(entry)
         while frontier:
             node = frontier.pop()
-            for succ in self.successors(node):
+            for succ in self._consumers[node]:
                 if succ not in reachable:
                     reachable.add(succ)
                     frontier.append(succ)

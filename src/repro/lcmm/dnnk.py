@@ -25,9 +25,9 @@ Two interchangeable gain evaluators back the allocators:
 
 * :class:`_GainEvaluator` — the naive oracle, querying the latency model
   through frozensets per node.  Kept bit-for-bit as the reference.
-* :class:`_EngineGainEvaluator` — the hot path, reading the flattened
-  slot arrays of a :class:`repro.perf.engine.AllocationEngine` so a node
-  query is one pass over small int/float tuples.  Pass ``engine=`` to any
+* :class:`_EngineGainEvaluator` — the hot path, binding the slot arrays
+  of a :class:`repro.perf.engine.AllocationEngine` into per-kind bit
+  tables so a node query is three short loops.  Pass ``engine=`` to any
   allocator to select it; results are exactly equal to the oracle's
   because both compute identical per-node sums in identical order.
 """
@@ -216,9 +216,9 @@ class _EngineGainEvaluator:
     Reads the flattened per-node slot arrays of an
     :class:`AllocationEngine` (never its mutable state: DNNK evaluates
     allocations without residuals or fractions, exactly like the naive
-    evaluator) and binds each candidate slot to the virtual buffer holding
-    its tensor.  A node query is then one pass over small tuples; the
-    per-kind sums accumulate in the same slot order as
+    evaluator) and binds each candidate slot to the bit of the virtual
+    buffer holding its tensor.  A node query is then one short loop per
+    interface kind; the sums accumulate in the same slot order as
     ``LayerLatency.slot_latency`` and per-buffer node iteration follows
     the naive evaluator's name-sorted order, so every gain, delta and
     total is bit-for-bit equal to the oracle's.
@@ -257,22 +257,23 @@ class _EngineGainEvaluator:
                     mask |= 1 << other
             self._relevant_mask.append(mask)
 
-        # Touched nodes only: (kind, owning buffer or -1, latency) tuples,
-        # plus the node-local relevant mask (bits of buffers with a slot
-        # on this node) — a node's latency depends on those bits alone,
-        # which keys the per-node memo.
-        self._node_slots: dict[int, tuple[tuple, tuple, tuple]] = {}
-        self._node_mask: dict[int, int] = {}
-        self._node_cache: dict[int, dict[int, float]] = {}
+        # Touched nodes only: ``(local, memo, compute, t0, t1, t2)``.  A
+        # node's latency depends only on ``local`` (bits of buffers with a
+        # slot here), which keys ``memo``.  Table ``tk`` lists kind k's
+        # ``(bit, latency)`` slots in order; bit 0 means no buffer holds it.
+        self._nodes: dict[int, tuple] = {}
         for ni in node_to_buffers:
-            bufs = tuple(tid_buffer.get(t, -1) for t in engine.slot_tids[ni])
-            self._node_slots[ni] = (engine.slot_kinds[ni], bufs, engine.slot_lats[ni])
+            tables: tuple[list, list, list] = ([], [], [])
             local = 0
-            for buf in bufs:
-                if buf >= 0:
-                    local |= 1 << buf
-            self._node_mask[ni] = local
-            self._node_cache[ni] = {0: engine.base_node_lat[ni]}
+            for kind, tid, lat in zip(
+                engine.slot_kinds[ni], engine.slot_tids[ni], engine.slot_lats[ni]
+            ):
+                buf = tid_buffer.get(tid)
+                bit = 0 if buf is None else 1 << buf
+                local |= bit
+                tables[kind].append((bit, lat))
+            memo = {0: engine.base_node_lat[ni]}
+            self._nodes[ni] = (local, memo, engine.compute[ni], *map(tuple, tables))
 
         self._cache: list[dict[int, float]] = [dict() for _ in buffers]
 
@@ -285,27 +286,24 @@ class _EngineGainEvaluator:
         value is exactly the recomputed one, so caching never perturbs
         parity.
         """
-        entry = self._node_slots.get(ni)
+        entry = self._nodes.get(ni)
         if entry is None:
             return self._engine.base_node_lat[ni]
-        key = mask & self._node_mask[ni]
-        cache = self._node_cache[ni]
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        kinds, bufs, lats = entry
-        s0 = s1 = s2 = 0.0
-        for kind, buf, lat in zip(kinds, bufs, lats):
-            if buf >= 0 and mask >> buf & 1:
-                continue
-            if kind == 0:
-                s0 += lat
-            elif kind == 1:
-                s1 += lat
-            else:
-                s2 += lat
-        value = max(self._engine.compute[ni], s0, s1, s2)
-        cache[key] = value
+        local, memo, compute, t0, t1, t2 = entry
+        key = mask & local
+        value = memo.get(key)
+        if value is None:
+            s0 = s1 = s2 = 0.0
+            for bit, lat in t0:
+                if not key & bit:
+                    s0 += lat
+            for bit, lat in t1:
+                if not key & bit:
+                    s1 += lat
+            for bit, lat in t2:
+                if not key & bit:
+                    s2 += lat
+            value = memo[key] = max(compute, s0, s1, s2)
         return value
 
     def node_latency_under_mask(self, node: str, context_mask: int) -> float:
@@ -325,10 +323,10 @@ class _EngineGainEvaluator:
         return self.total_latency_mask(mask)
 
     def total_latency_mask(self, mask: int) -> float:
-        node_slots = self._node_slots
+        nodes = self._nodes
         total = 0.0
         for ni, base in enumerate(self._engine.base_node_lat):
-            if ni in node_slots:
+            if ni in nodes:
                 total += self.node_latency_mask(ni, mask)
             else:
                 total += base
@@ -391,19 +389,18 @@ class _EngineGainEvaluator:
             return cached
         self._engine.stats.gain_cache_misses += 1
         bit = 1 << buffer_index
-        node_mask = self._node_mask
-        node_cache = self._node_cache
+        nodes = self._nodes
         total = 0.0
         # Inlined node lookups; each per-node term accumulates as a single
         # difference, exactly like the naive evaluator's gain loop.
         for ni in self._affected[buffer_index]:
-            nc = node_cache[ni]
-            kb = context_mask & node_mask[ni]
-            before = nc.get(kb)
+            local, memo = nodes[ni][:2]
+            kb = context_mask & local
+            before = memo.get(kb)
             if before is None:
                 before = self.node_latency_mask(ni, kb)
             ka = kb | bit
-            after = nc.get(ka)
+            after = memo.get(ka)
             if after is None:
                 after = self.node_latency_mask(ni, ka)
             total += before - after
@@ -672,17 +669,19 @@ def _local_search(
             # Add-with-eviction: offer each spilled buffer; evict the
             # cheapest (per block) residents until it fits, and keep the
             # exchange only when the exact Eq. 1 total improves.
+            # Both eviction rankings depend only on the resident set, which
+            # no candidate changes until one is accepted: rank once.
+            eviction_orders = (
+                sorted(
+                    chosen_set,
+                    key=lambda i: evaluator.move_delta(context_mask, add=None, drop=i)
+                    / sizes[i],
+                ),
+                sorted(chosen_set, key=lambda i: -sizes[i]),
+            )
             for inc in range(num_buffers):
                 if inc in chosen_set or sizes[inc] > units:
                     continue
-                eviction_orders = (
-                    sorted(
-                        chosen_set,
-                        key=lambda i: evaluator.move_delta(context_mask, add=None, drop=i)
-                        / sizes[i],
-                    ),
-                    sorted(chosen_set, key=lambda i: -sizes[i]),
-                )
                 best_delta = 0.0
                 best_evict: list[int] | None = None
                 for order in eviction_orders:
@@ -855,7 +854,7 @@ def _gray_code_sweep(
     """
     n = len(block_sizes)
     base_lat = evaluator._engine.base_node_lat
-    node_lat = {ni: base_lat[ni] for ni in evaluator._node_slots}
+    node_lat = {ni: base_lat[ni] for ni in evaluator._nodes}
 
     def exact_total() -> float:
         total = 0.0

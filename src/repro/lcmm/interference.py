@@ -29,10 +29,22 @@ class InterferenceGraph:
 
     @classmethod
     def from_tensors(cls, tensors: Iterable[CandidateTensor]) -> "InterferenceGraph":
-        """Build the graph from live-range overlaps."""
-        graph = cls()
-        for tensor in tensors:
-            graph.add_tensor(tensor)
+        """Build the graph from live-range overlaps.
+
+        Sweeps tensors by live-range start: each one overlaps exactly the
+        earlier starters still live then.
+        """
+        tensors = list(tensors)
+        graph = cls({t.name: t for t in tensors}, {t.name: set() for t in tensors})
+        if len(graph.tensors) < len(tensors):
+            raise ValueError("duplicate tensor names")
+        live: list[CandidateTensor] = []
+        for tensor in sorted(tensors, key=lambda t: t.live_range.start):
+            live = [t for t in live if t.live_range.end >= tensor.live_range.start]
+            for other in live:
+                graph._adjacency[tensor.name].add(other.name)
+                graph._adjacency[other.name].add(tensor.name)
+            live.append(tensor)
         return graph
 
     def add_tensor(self, tensor: CandidateTensor) -> None:

@@ -95,6 +95,9 @@ _SCORER_LRU = 4
 #: Deadline for the warm-up pings that prove the pool came up at all.
 _WARMUP_TIMEOUT = 60.0
 
+#: Grace :meth:`ResilientPool.close` gives workers before terminating them.
+_REAP_TIMEOUT = 3.0
+
 declare_fault_point("dse.chunk", "one tile chunk scored in a DSE worker")
 
 
@@ -264,7 +267,7 @@ class ResilientPool:
       worker, uncancellable hung future) without losing the pool
       object, its identity or its measurements — the fault costs the
       executor its life, not the pool its registry slot.
-    * :meth:`close` ends the pool's life explicitly (idempotent).
+    * :meth:`close` ends the pool's life (idempotent) and reaps its workers.
 
     Subclasses override :meth:`_build_executor` to attach their
     initializer and its arguments.
@@ -283,6 +286,8 @@ class ResilientPool:
         self._warmup_timeout = warmup_timeout
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
+        #: Worker processes of discarded executors, reaped by :meth:`close`.
+        self._retired: list = []
 
     def _build_executor(self) -> ProcessPoolExecutor:
         """Construct the executor (override to attach an initializer)."""
@@ -334,15 +339,32 @@ class ResilientPool:
         :meth:`ensure` builds a fresh executor with identical initargs.
         """
         if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+            self._discard()
             self.generation += 1
 
+    def _discard(self) -> None:
+        # Keep the workers for close() to reap: a process executor drops
+        # ``_processes`` on shutdown (thread executors never have one).
+        workers = getattr(self._executor, "_processes", None) or {}
+        self._retired.extend(workers.values())
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = None
+
     def close(self) -> None:
-        """Shut the pool down for good (idempotent)."""
+        """Shut the pool down for good and reap its workers (idempotent).
+
+        Pending work is cancelled; every worker of this and of refreshed
+        executors gets :data:`_REAP_TIMEOUT` seconds in all to exit.
+        """
         if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+            self._discard()
+        deadline = time.monotonic() + _REAP_TIMEOUT
+        for proc in self._retired:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(1.0)
+        self._retired.clear()
         self._closed = True
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.ir.graph import ComputationGraph, GraphValidationError
-from repro.ir.layer import Concat, Conv2D, InputLayer
-from repro.ir.tensor import FeatureMapShape
+from repro.ir.layer import Concat, Conv2D, EltwiseAdd, InputLayer, OpType
+from repro.ir.tensor import FeatureMapShape, FeatureTensor, feature_tensor_name
 from repro.models.common import conv
+from repro.models.zoo import get_model, list_models
 
 from tests.conftest import build_chain, build_residual_block, build_snippet
 
@@ -149,3 +150,112 @@ class TestValidation:
         build_chain().validate()
         build_snippet().validate()
         build_residual_block().validate()
+
+
+# ----------------------------------------------------------------------
+# Consumer index vs brute force: every indexed query must equal a scan
+# over all layers, including after the graph grows.
+# ----------------------------------------------------------------------
+
+
+def brute_successors(g, name):
+    return [lyr.name for lyr in g.layers() if name in lyr.inputs]
+
+
+def brute_sinks(g):
+    consumed = {src for lyr in g.layers() for src in lyr.inputs}
+    return [lyr.name for lyr in g.layers() if lyr.name not in consumed]
+
+
+def brute_feature_tensors(g):
+    order = {name: idx for idx, name in enumerate(g.schedule())}
+    tensors = []
+    for lyr in g.layers():
+        if lyr.op_type is OpType.CONCAT:
+            continue
+        consumers, stack = set(), brute_successors(g, lyr.name)
+        while stack:
+            node = stack.pop()
+            if g.layer(node).op_type is OpType.CONCAT:
+                stack.extend(brute_successors(g, node))
+            else:
+                consumers.add(node)
+        if consumers:
+            tensors.append(
+                FeatureTensor(
+                    name=feature_tensor_name(lyr.name),
+                    producer=lyr.name,
+                    consumers=tuple(sorted(consumers, key=order.__getitem__)),
+                    shape=g.output_shape(lyr.name),
+                )
+            )
+    return tensors
+
+
+def brute_unreachable(g):
+    reachable = {lyr.name for lyr in g.layers() if lyr.op_type is OpType.INPUT}
+    frontier = list(reachable)
+    while frontier:
+        for succ in brute_successors(g, frontier.pop()):
+            if succ not in reachable:
+                reachable.add(succ)
+                frontier.append(succ)
+    return {lyr.name for lyr in g.layers()} - reachable
+
+
+def assert_index_matches_brute_force(g):
+    for lyr in g.layers():
+        assert g.successors(lyr.name) == brute_successors(g, lyr.name), lyr.name
+    assert g.sinks() == brute_sinks(g)
+    assert g.feature_tensors() == brute_feature_tensors(g)
+    assert not brute_unreachable(g)
+    g.validate()
+
+
+class TestConsumerIndex:
+    @pytest.mark.parametrize("model", list_models())
+    def test_zoo_matches_brute_force(self, model):
+        assert_index_matches_brute_force(get_model(model))
+
+    def test_layer_reading_one_producer_twice(self):
+        g = ComputationGraph(name="double-read")
+        g.add(InputLayer(name="data", shape=FeatureMapShape(8, 8, 8)))
+        x = conv(g, "x", "data", 8, 3)
+        g.add(EltwiseAdd(name="sum", inputs=(x, x)))
+        conv(g, "out", "sum", 8, 1)
+        assert g.successors("x") == ["sum"]
+        assert_index_matches_brute_force(g)
+
+    def test_concat_of_concats(self):
+        g = ComputationGraph(name="nested-concat")
+        g.add(InputLayer(name="data", shape=FeatureMapShape(8, 8, 8)))
+        a = conv(g, "a", "data", 8, 1)
+        b = conv(g, "b", "data", 8, 1)
+        c = conv(g, "c", "data", 8, 1)
+        g.add(Concat(name="inner", inputs=(a, b)))
+        g.add(Concat(name="outer", inputs=("inner", c)))
+        conv(g, "head", "outer", 8, 1)
+        conv(g, "side", a, 8, 1)
+        by_producer = {t.producer: t.consumers for t in g.feature_tensors()}
+        assert by_producer["a"] == ("head", "side")
+        assert by_producer["c"] == ("head",)
+        assert_index_matches_brute_force(g)
+
+    def test_index_stays_current_as_graph_grows(self):
+        g = build_snippet()
+        assert_index_matches_brute_force(g)
+        assert g.sinks() == ["C6"]
+        conv(g, "C7", "C6", 32, 1)
+        g.add(Concat(name="cat2", inputs=("C7", "C5")))
+        conv(g, "C8", "cat2", 32, 1)
+        assert g.sinks() == ["C8"]
+        assert g.successors("C5") == ["C6", "cat2"]
+        assert_index_matches_brute_force(g)
+
+    def test_failed_add_leaves_index_untouched(self):
+        g = build_chain(num_convs=2, channels=8, hw=8)
+        small = conv(g, "small", "data", 8, 3, stride=2)
+        with pytest.raises(ValueError):
+            g.add(EltwiseAdd(name="bad", inputs=("c2", small)))
+        assert "bad" not in g
+        assert_index_matches_brute_force(g)

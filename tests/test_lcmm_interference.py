@@ -1,5 +1,7 @@
 """Tests for repro.lcmm.interference."""
 
+import random
+
 import pytest
 
 from repro.lcmm.buffers import CandidateTensor, TensorClass
@@ -36,6 +38,29 @@ class TestConstruction:
         g = InterferenceGraph.from_tensors([make_tensor("a", 0, 1)])
         with pytest.raises(ValueError, match="duplicate"):
             g.add_tensor(make_tensor("a", 4, 5))
+
+    def test_duplicate_tensor_rejected_by_from_tensors(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            InterferenceGraph.from_tensors(
+                [make_tensor("a", 0, 1), make_tensor("a", 4, 5)]
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sweep_matches_pairwise_construction(self, seed):
+        # from_tensors sweeps by live-range start; add_tensor compares
+        # every pair.  Both must produce the same edges and tensor order.
+        rng = random.Random(seed)
+        tensors = []
+        for idx in range(40):
+            start = rng.randrange(30)
+            tensors.append(make_tensor(f"t{idx}", start, start + rng.randrange(8)))
+        swept = InterferenceGraph.from_tensors(tensors)
+        pairwise = InterferenceGraph()
+        for tensor in tensors:
+            pairwise.add_tensor(tensor)
+        assert list(swept.tensors) == list(pairwise.tensors)
+        for tensor in tensors:
+            assert swept.neighbors(tensor.name) == pairwise.neighbors(tensor.name)
 
     def test_len_counts_tensors(self):
         g = InterferenceGraph.from_tensors(

@@ -1,5 +1,8 @@
 """Tests for repro.perf.pool: the persistent DSE worker pool."""
 
+import os
+import time
+
 import pytest
 
 from repro.perf import pool as pool_mod
@@ -92,6 +95,25 @@ class TestScorerPool:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.ensure()
+
+    def test_close_reaps_busy_and_refreshed_workers(self, monkeypatch):
+        # A worker stuck in a job and one stranded by refresh() must both
+        # be gone once close() returns, not left running after the pool.
+        monkeypatch.setattr(pool_mod, "_REAP_TIMEOUT", 0.2)
+        pool = pool_mod.ResilientPool(1)
+        pids = []
+        for _ in range(2):
+            executor, _ = pool.ensure()
+            pids.append(executor.submit(os.getpid).result(timeout=60))
+            executor.submit(time.sleep, 60)
+            pool.refresh()
+        executor, _ = pool.ensure()
+        pids.append(executor.submit(os.getpid).result(timeout=60))
+        executor.submit(time.sleep, 60)
+        pool.close()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_invalid_workers(self):
         from repro.errors import ConfigError

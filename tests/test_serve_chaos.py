@@ -289,3 +289,88 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+
+
+def _descendants(pid: int) -> list[int]:
+    """Every live descendant of ``pid`` (from ``/proc``), zombies excluded."""
+    found, frontier = [], [pid]
+    while frontier:
+        parent = frontier.pop()
+        for task in Path(f"/proc/{parent}/task").glob("*"):
+            try:
+                children = [int(c) for c in (task / "children").read_text().split()]
+            except OSError:
+                continue
+            found.extend(children)
+            frontier.extend(children)
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+class TestSigtermReapsWorkers:
+    def test_no_pool_worker_outlives_a_drained_server(self, tmp_path):
+        env = dict(os.environ)
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
+                "serve",
+                "--workers",
+                "1",
+                "--port",
+                "0",
+                "--cache",
+                str(tmp_path),
+                "--drain-seconds",
+                "5",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        workers: list[int] = []
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            host, port = line.split("listening on ")[1].split()[0].split(":")
+            conn = HTTPConnection(host, int(port), timeout=60)
+            conn.request(
+                "POST",
+                "/v1/compile",
+                json.dumps({"model": "alexnet", "config": "umm"}),
+                {"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            response.read()
+            conn.close()
+            assert response.status == 200
+            workers = _descendants(proc.pid)
+            assert workers, "the cold compile never started a pool worker"
+
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err
+            assert "drained cleanly" in out
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
