@@ -44,11 +44,6 @@ from repro.lcmm.buffers import VirtualBuffer
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
 
-try:  # pragma: no cover - exercised implicitly everywhere numpy exists
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 @dataclass
 class DNNKResult:
@@ -222,6 +217,16 @@ class _EngineGainEvaluator:
     ``LayerLatency.slot_latency`` and per-buffer node iteration follows
     the naive evaluator's name-sorted order, so every gain, delta and
     total is bit-for-bit equal to the oracle's.
+
+    Compute-dominated kinds are pruned exactly.  Slot latencies are
+    non-negative and float rounding is monotone, so a fold that skips
+    terms never exceeds the full fold: a kind whose all-off-chip sum is
+    at most ``compute`` can never set the max, whatever is on chip.  Its
+    table is dropped, its bits leave ``local``, and a buffer whose bit
+    then touches no live kind of a node contributes ``x - x = +0.0`` to
+    a gain there, so :meth:`gain` skips that node.  The deltas keep every
+    affected node: ``delta += new; delta -= old`` rounds differently when
+    terms are skipped.
     """
 
     def __init__(self, engine: AllocationEngine, buffers: list[VirtualBuffer]) -> None:
@@ -259,21 +264,45 @@ class _EngineGainEvaluator:
 
         # Touched nodes only: ``(local, memo, compute, t0, t1, t2)``.  A
         # node's latency depends only on ``local`` (bits of buffers with a
-        # slot here), which keys ``memo``.  Table ``tk`` lists kind k's
-        # ``(bit, latency)`` slots in order; bit 0 means no buffer holds it.
+        # slot of a live kind here), which keys ``memo``.  Table ``tk``
+        # lists kind k's ``(bit, latency)`` slots in order (bit 0: no
+        # buffer holds it), or is empty when compute dominates the kind.
+        # A node with no live bit keeps ``base_node_lat`` and is left out.
         self._nodes: dict[int, tuple] = {}
         for ni in node_to_buffers:
             tables: tuple[list, list, list] = ([], [], [])
-            local = 0
             for kind, tid, lat in zip(
                 engine.slot_kinds[ni], engine.slot_tids[ni], engine.slot_lats[ni]
             ):
                 buf = tid_buffer.get(tid)
-                bit = 0 if buf is None else 1 << buf
-                local |= bit
-                tables[kind].append((bit, lat))
-            memo = {0: engine.base_node_lat[ni]}
-            self._nodes[ni] = (local, memo, engine.compute[ni], *map(tuple, tables))
+                tables[kind].append((0 if buf is None else 1 << buf, lat))
+            compute = engine.compute[ni]
+            local = 0
+            live = []
+            for table in tables:
+                # Fold in slot order, as node_latency_mask does (sum() may
+                # compensate rounding on newer Pythons).
+                total = 0.0
+                for _, lat in table:
+                    total += lat
+                if total <= compute:
+                    table = []
+                for bit, _ in table:
+                    local |= bit
+                live.append(tuple(table))
+            if local:
+                memo = {0: engine.base_node_lat[ni]}
+                self._nodes[ni] = (local, memo, compute, *live)
+        # Per buffer, the affected nodes (name-sorted) whose latency its
+        # bit can change: the only nodes a gain sums.
+        self._gain_nodes: list[tuple[int, ...]] = [
+            tuple(
+                ni
+                for ni in self._affected[bi]
+                if ni in self._nodes and self._nodes[ni][0] >> bi & 1
+            )
+            for bi in range(len(buffers))
+        ]
 
         self._cache: list[dict[int, float]] = [dict() for _ in buffers]
 
@@ -393,7 +422,7 @@ class _EngineGainEvaluator:
         total = 0.0
         # Inlined node lookups; each per-node term accumulates as a single
         # difference, exactly like the naive evaluator's gain loop.
-        for ni in self._affected[buffer_index]:
+        for ni in self._gain_nodes[buffer_index]:
             local, memo = nodes[ni][:2]
             kb = context_mask & local
             before = memo.get(kb)
@@ -436,9 +465,9 @@ def dnnk_allocate(
         granularity: Capacity quantum of the DP sweep; defaults to one
             URAM block, the unit the device allocates buffers in.
         engine: Optional :class:`AllocationEngine`; when given, gains and
-            re-scores run on its flattened arrays (and the DP sweep is
-            vectorised over capacity columns) with results identical to
-            the naive evaluator's.
+            re-scores run on its flattened arrays (and the DP sweep runs
+            over column runs) with results identical to the naive
+            evaluator's.
 
     Returns:
         The allocation, with decisions backtraced from the DP memo.
@@ -451,9 +480,7 @@ def dnnk_allocate(
     units = capacity_bytes // granularity
     sizes = [math.ceil(b.size_bytes / granularity) for b in buffers]
     evaluator = _make_evaluator(model, buffers, engine)
-    dp = _dp_pass
-    if engine is not None and _np is not None and len(buffers) <= 63:
-        dp = _dp_pass_vector
+    dp = _dp_pass if engine is None else _dp_pass_runs
 
     # The DP's column-context gains depend on the order buffers are
     # processed in, so run it under two orderings — the caller's list
@@ -556,55 +583,78 @@ def _dp_pass(
     return chosen_set, best[units]
 
 
-def _dp_pass_vector(
+def _dp_pass_runs(
     order: list[int],
     sizes: list[int],
     units: int,
     evaluator,
 ) -> tuple[set[int], float]:
-    """Column-vectorised DP sweep — identical decisions to :func:`_dp_pass`.
+    """Run-length DP sweep — identical decisions to :func:`_dp_pass`.
 
-    The per-column work of a row is one gain lookup keyed on the context's
-    relevant sub-mask; across a row most columns share a handful of
-    distinct keys, so the sweep reduces to ``np.unique`` over the key
-    vector plus one gain evaluation per distinct key.  All arithmetic
-    (``best[j - size] + gain`` and the ``>`` comparison) is the same
-    float64 operation as the scalar loop, so the backtraced set is
-    bit-for-bit the same.
+    ``best`` and ``context`` are piecewise constant over the capacity
+    columns, so they are kept as runs ``(start, best, context)``; a run
+    covers the columns up to the next run's start.  A row walks columns
+    ``[size, units]`` as the merge of the runs with the same runs shifted
+    right by ``size`` and does the scalar loop's float operations once
+    per piece (``best[j - size] + gain``, then ``>``), so the backtraced
+    set and the returned best are bit-for-bit the same.  Each distinct
+    key ``context & relevant_mask`` is scored once per row.
     """
-    best = _np.zeros(units + 1)
-    context = _np.zeros(units + 1, dtype=_np.uint64)
-    decisions: list = []
+    relevant = evaluator._relevant_mask
+    end = units + 1
+    runs: list[tuple[int, float, int]] = [(0, 0.0, 0)]
+    # decisions[k]: column ranges [lo, hi) where row k takes its buffer.
+    decisions: list[list[tuple[int, int]]] = []
 
     for i in order:
         size = sizes[i]
-        row = _np.zeros(units + 1, dtype=bool)
+        taken: list[tuple[int, int]] = []
         if size <= units:
-            rel = _np.uint64(evaluator._relevant_mask[i])
-            keys = context[size:] & rel
-            uniq, inverse = _np.unique(keys, return_inverse=True)
-            gains = _np.fromiter(
-                (evaluator.gain(i, int(k)) for k in uniq),
-                dtype=_np.float64,
-                count=len(uniq),
-            )
-            take = best[: units + 1 - size] + gains[inverse]
-            better = take > best[size:]
-            if better.any():
-                new_best = best.copy()
-                new_best[size:][better] = take[better]
-                best = new_best
-                row[size:] = better
-                context[size:][better] |= _np.uint64(1 << i)
-        decisions.append(row)
+            bit = 1 << i
+            rel = relevant[i]
+            gains: dict[int, float] = {}
+            # Columns below ``size`` keep their runs; ``a`` walks the run
+            # holding column j, ``b`` the run holding column j - size.
+            new = [run for run in runs if run[0] < size]
+            last = len(runs) - 1
+            a = len(new)
+            if a > last or runs[a][0] > size:
+                a -= 1
+            b = 0
+            j = size
+            while j < end:
+                a_end = runs[a + 1][0] if a < last else end
+                b_end = runs[b + 1][0] + size if b < last else end
+                hi = min(a_end, b_end)
+                _, cur, ctx = runs[a]
+                key = ctx & rel
+                gain = gains.get(key)
+                if gain is None:
+                    gain = gains[key] = evaluator.gain(i, key)
+                take = runs[b][1] + gain
+                if take > cur:
+                    cur, ctx = take, ctx | bit
+                    if taken and taken[-1][1] == j:
+                        taken[-1] = (taken[-1][0], hi)
+                    else:
+                        taken.append((j, hi))
+                if not new or new[-1][1] != cur or new[-1][2] != ctx:
+                    new.append((j, cur, ctx))
+                j = hi
+                if hi == a_end:
+                    a += 1
+                if hi == b_end:
+                    b += 1
+            runs = new
+        decisions.append(taken)
 
     chosen_set: set[int] = set()
     j = units
     for k in range(len(order) - 1, -1, -1):
-        if decisions[k][j]:
+        if any(lo <= j < hi for lo, hi in decisions[k]):
             chosen_set.add(order[k])
             j -= sizes[order[k]]
-    return chosen_set, float(best[units])
+    return chosen_set, runs[-1][1]
 
 
 def _local_search(
@@ -854,7 +904,7 @@ def _gray_code_sweep(
     """
     n = len(block_sizes)
     base_lat = evaluator._engine.base_node_lat
-    node_lat = {ni: base_lat[ni] for ni in evaluator._nodes}
+    node_lat = {ni: base_lat[ni] for nodes in evaluator._affected for ni in nodes}
 
     def exact_total() -> float:
         total = 0.0

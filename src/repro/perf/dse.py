@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import time
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pickle import PicklingError
 from typing import TYPE_CHECKING
@@ -402,7 +402,8 @@ def _score_parallel(
     serial path recomputes with a fresh scorer rather than trusting
     anything a dying worker may have sent.
 
-    A broken pool (``BrokenProcessPool``) or a timed-out chunk whose
+    A broken pool (``BrokenProcessPool``, raised at submit when a worker
+    died between jobs or at ``result()`` mid-job) or a timed-out chunk whose
     future is already running (uncancellable, stranding the hung worker
     on its slot) triggers :meth:`ScorerPool.refresh`: the executor is
     discarded and retries run in a freshly created one — the persistent
@@ -444,12 +445,24 @@ def _score_parallel(
         stats.init_seconds += init_elapsed
         if preexisting and pool.generation == start_generation:
             stats.chunks_reused_pool += len(pending)
-        futures = [
-            (pool.submit_chunk(base, base_key, chunks[i], i), i) for i in pending
-        ]
         retry: list[int] = []
         broken = False
         stranded = False
+
+        def requeue(i: int) -> None:
+            attempts[i] += 1
+            if attempts[i] <= chunk_retries:
+                stats.retries += 1
+                retry.append(i)
+
+        futures = []
+        for i in pending:
+            try:
+                futures.append((pool.submit_chunk(base, base_key, chunks[i], i), i))
+            except BrokenExecutor:
+                # A worker died between jobs: the cached executor is broken.
+                broken = True
+                requeue(i)
         for future, i in futures:
             try:
                 # Chunks run concurrently, so waiting on them in
@@ -468,22 +481,13 @@ def _score_parallel(
                 # mark the executor for replacement.
                 if not future.cancel():
                     stranded = True
-                attempts[i] += 1
-                if attempts[i] <= chunk_retries:
-                    stats.retries += 1
-                    retry.append(i)
-            except BrokenProcessPool:
+                requeue(i)
+            except BrokenExecutor:
                 broken = True
-                attempts[i] += 1
-                if attempts[i] <= chunk_retries:
-                    stats.retries += 1
-                    retry.append(i)
+                requeue(i)
             except Exception:
                 stats.failures += 1
-                attempts[i] += 1
-                if attempts[i] <= chunk_retries:
-                    stats.retries += 1
-                    retry.append(i)
+                requeue(i)
         if broken:
             stats.pool_broken = True
             pool.refresh()

@@ -310,8 +310,10 @@ class CompileService:
             raise WorkerError(
                 f"worker pool unavailable: {exc}", details={"phase": "ensure"}
             ) from exc
-        future = executor.submit(fn, *args)
         try:
+            # A worker that died between jobs leaves the executor broken:
+            # submit raises, and the retry path refreshes the pool.
+            future = executor.submit(fn, *args)
             return await asyncio.wait_for(
                 asyncio.wrap_future(future), self._timeout_for(deadline_epoch)
             )
@@ -331,7 +333,7 @@ class CompileService:
             ) from None
         except BrokenExecutor as exc:
             raise WorkerError(
-                f"worker pool broke mid-job: {exc}", details={"phase": "run"}
+                f"worker pool broke: {exc}", details={"phase": "run"}
             ) from exc
         except asyncio.CancelledError:
             if future.cancelled():

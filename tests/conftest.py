@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.hw.precision import INT8, INT16
@@ -75,6 +79,22 @@ def small_accel(
         if_resident_cap=if_resident_cap,
         wt_resident_cap=wt_resident_cap,
     )
+
+
+def kill_pool_worker(pool, timeout: float = 30.0) -> None:
+    """SIGKILL one worker of a warm, idle pool, as an OOM kill would.
+
+    Returns once the executor has noticed the death and marked itself
+    broken, so the next job meets a broken executor at submit.
+    """
+    executor = pool._executor
+    assert executor is not None, "the pool is not warm"
+    worker = next(iter(executor._processes.values()))
+    os.kill(worker.pid, signal.SIGKILL)
+    deadline = time.monotonic() + timeout
+    while not executor._broken:
+        assert time.monotonic() < deadline, "the executor never saw the dead worker"
+        time.sleep(0.01)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -37,7 +37,7 @@ from repro.robustness.inject import (
     registered_fault_points,
 )
 
-from tests.conftest import small_accel
+from tests.conftest import kill_pool_worker, small_accel
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -223,14 +223,8 @@ class TestFusionDegradation:
         assert result.degradation_path[0] == "fused-dnnk-splitting"
 
 
-class TestPersistentPoolLifecycle:
-    """``dse.chunk`` faults against the *persistent* worker pool.
-
-    The ISSUE 6 guarantee: a hang or crash in a pooled chunk triggers
-    the fresh-pool retry path (the executor is refreshed, results stay
-    exact) without leaking the persistent pool — the pool object
-    survives the fault, and ending the injection retires it cleanly.
-    """
+class _PersistentPoolSweeps:
+    """Sweeps of a small chain on the persistent pool, closed around each test."""
 
     @pytest.fixture(autouse=True)
     def _fresh_pool(self):
@@ -240,7 +234,7 @@ class TestPersistentPoolLifecycle:
         yield
         pool_mod.close_pool()
 
-    def _sweep(self, **kwargs):
+    def _sweep(self, workers=2, **kwargs):
         from repro.perf.dse import WorkerStats, explore_designs
         from tests.conftest import build_chain
 
@@ -248,9 +242,19 @@ class TestPersistentPoolLifecycle:
         accel = small_accel()
         stats = WorkerStats()
         points = explore_designs(
-            graph, accel, 10 * 2**20, workers=2, stats=stats, **kwargs
+            graph, accel, 10 * 2**20, workers=workers, stats=stats, **kwargs
         )
         return [(p.accel.tile, p.umm_latency) for p in points], stats
+
+
+class TestPersistentPoolLifecycle(_PersistentPoolSweeps):
+    """``dse.chunk`` faults against the *persistent* worker pool.
+
+    The guarantee: a hang or crash in a pooled chunk triggers
+    the fresh-pool retry path (the executor is refreshed, results stay
+    exact) without leaking the persistent pool — the pool object
+    survives the fault, and ending the injection retires it cleanly.
+    """
 
     def test_crash_refreshes_executor_not_pool(self):
         from repro.perf import pool as pool_mod
@@ -298,6 +302,29 @@ class TestPersistentPoolLifecycle:
         after = pool_mod.active_pool()
         assert after is not armed and armed.closed  # no leaked armed pool
         assert after_points == clean and not after_stats.recovered()
+
+
+class TestWorkerKilledBetweenJobs(_PersistentPoolSweeps):
+    """A worker of the warm persistent pool dies while the pool is idle.
+
+    The next sweep meets the broken executor at submit.  It must refresh
+    the executor, label the fault as a broken pool (the pool was created
+    fine, so not "unavailable") and still return the serial sweep's
+    designs.
+    """
+
+    def test_next_sweep_refreshes_a_broken_pool(self):
+        from repro.perf import pool as pool_mod
+
+        serial, _ = self._sweep(workers=1)
+        warm, _ = self._sweep()
+        pool = pool_mod.active_pool()
+        kill_pool_worker(pool)
+        points, stats = self._sweep()
+        assert stats.pool_broken and not stats.pool_unavailable
+        assert stats.serial_chunks == 0  # the refreshed executor scored them
+        assert points == warm == serial
+        assert pool_mod.active_pool() is pool and pool.generation == 1
 
 
 class TestDeterminism:

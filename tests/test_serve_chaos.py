@@ -28,6 +28,8 @@ from repro.serve import ServerThread, ServiceConfig
 from repro.serve.jobs import job_key
 from repro.serve.service import CompileService
 
+from tests.conftest import kill_pool_worker
+
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
@@ -113,6 +115,31 @@ class TestWorkerCrash:
                 assert payload["degradation_level"] == 0
             finally:
                 thread.stop()
+
+
+class TestWorkerKilledBetweenJobs:
+    def test_next_cold_compile_refreshes_the_pool(self, tmp_path):
+        # A worker OOM-killed while the pool is idle leaves the executor
+        # broken: the next cold compile must refresh it and succeed, not
+        # return a 500.
+        thread = ServerThread(
+            ServiceConfig(inline=False, workers=1, cache_dir=str(tmp_path))
+        ).start()
+        try:
+            status, _, _ = request(thread, "POST", "/v1/compile", {"model": "alexnet"})
+            assert status == 200
+            pool = thread.server.service.pool
+            assert pool.generation == 0
+            kill_pool_worker(pool)
+            status, payload, _ = request(
+                thread, "POST", "/v1/compile", {"model": "squeezenet"}
+            )
+            assert status == 200, payload
+            assert payload["cache_hit"] is False
+            assert payload["degradation_level"] == 0
+            assert pool.generation == 1
+        finally:
+            assert thread.stop() is True
 
 
 class TestHangPastDeadline:
